@@ -2,27 +2,22 @@
 
 Sweeps N ∈ {100, 300, 500, 1000} random-waypoint processes at the
 paper's density (6 processes/km², 442 m radio range) and times the same
-scenario on the three rungs of the engine ladder:
+scenario on both frame engines:
 
 * **vec** — the default stack: spatial grid + numpy batch engine +
   coalesced timer wheel;
-* **grid** — ``with_scalar_engine()``: spatial grid, scalar per-candidate
-  resolution, one kernel timer per periodic task (the PR-3 baseline);
-* **flat** — ``with_flat_medium()``: the naive O(N) full scan.
+* **flat** — ``with_flat_medium()``: the naive O(N) full scan with one
+  kernel timer per periodic task, the reference oracle.
 
 and asserts
 
-* **exact equality**: per-seed summaries from all three engines are
-  equal with ``==`` on floats — on this sweep *and* (in
+* **exact equality**: per-seed summaries from both engines are equal
+  with ``==`` on floats — on this sweep *and* (in
   ``test_equality_on_figure_families``) on representatives of the
-  fig11/fig14/fig17/energy/faults scenario families (the flat leg of
-  the sweep equality check is capped at N ≤ 300; O(N²) makes it the
-  whole bill);
-* **speedup**: vec must beat flat by ≥ 10× in µs/frame at N = 1000
-  (measures ~13× here), the grid alone must be worth ≥ 3× at N = 500,
-  and vec must beat the scalar grid engine wherever N ≥ 300 — in smoke
-  runs (``REPRO_BENCH_SCALE_MAX_N``) the vec-vs-scalar > 1 assertion is
-  applied at the largest measured N instead.
+  fig11/fig14/fig17/energy/faults scenario families (the sweep equality
+  check is capped at N ≤ 300; above it the flat run is timed only);
+* **speedup**: vec must beat flat by ≥ 10× at N = 1000 (measures ~13×
+  here).
 
 Every full sweep appends a rev-keyed entry to
 ``benchmarks/results/bench_scale.json`` via ``publish_bench_json`` (the
@@ -52,8 +47,8 @@ DENSITY_PER_KM2 = 6.0
 
 POPULATIONS = [100, 300, 500, 1000]
 
-#: Above this N the flat medium is timed but no longer also re-run for
-#: the (redundant) equality assertion — O(N²) makes it the whole bill.
+#: Above this N the sweep times both engines but no longer asserts their
+#: summaries equal (the figure families below keep covering equality).
 EQUALITY_MAX_N = 300
 
 
@@ -95,40 +90,30 @@ def test_scaling_sweep(benchmark):
         for n in populations:
             cfg = population_scenario(n, duration)
             vec = _timed(cfg)
-            grid = _timed(cfg.with_scalar_engine())
             flat = _timed(cfg.with_flat_medium())
             if n <= EQUALITY_MAX_N:
-                assert vec["summary"] == grid["summary"], \
-                    f"vec and grid summaries diverged at N={n}"
                 assert vec["summary"] == flat["summary"], \
                     f"vec and flat summaries diverged at N={n}"
             rows.append({
                 "n": n, "frames": vec["frames"],
-                "vec_s": vec["wallclock"], "grid_s": grid["wallclock"],
-                "flat_s": flat["wallclock"],
+                "vec_s": vec["wallclock"], "flat_s": flat["wallclock"],
                 "vec_us_per_frame": vec["us_per_frame"],
-                "grid_us_per_frame": grid["us_per_frame"],
                 "flat_us_per_frame": flat["us_per_frame"],
                 "speedup_vec_vs_flat":
-                    flat["wallclock"] / vec["wallclock"],
-                "speedup_vec_vs_grid":
-                    grid["wallclock"] / vec["wallclock"],
-                "speedup_grid_vs_flat":
-                    flat["wallclock"] / grid["wallclock"]})
+                    flat["wallclock"] / vec["wallclock"]})
         return rows
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    lines = [f"bench_scale — vec vs grid vs flat engines, "
+    lines = [f"bench_scale — vec vs flat engines, "
              f"{duration:.0f}s window, density {DENSITY_PER_KM2:.0f}/km²",
-             f"{'N':>6} {'vec [s]':>9} {'grid [s]':>9} {'flat [s]':>9} "
-             f"{'vec µs/f':>9} {'v/flat':>7} {'v/grid':>7}"]
+             f"{'N':>6} {'vec [s]':>9} {'flat [s]':>9} "
+             f"{'vec µs/f':>9} {'v/flat':>7}"]
     for row in rows:
         lines.append(
-            f"{row['n']:>6} {row['vec_s']:>9.2f} {row['grid_s']:>9.2f} "
-            f"{row['flat_s']:>9.2f} {row['vec_us_per_frame']:>9.1f} "
-            f"{row['speedup_vec_vs_flat']:>6.1f}x "
-            f"{row['speedup_vec_vs_grid']:>6.1f}x")
+            f"{row['n']:>6} {row['vec_s']:>9.2f} {row['flat_s']:>9.2f} "
+            f"{row['vec_us_per_frame']:>9.1f} "
+            f"{row['speedup_vec_vs_flat']:>6.1f}x")
     publish_text("\n".join(lines))
     publish_bench_json("bench_scale", rows, meta={
         "scale": s.name, "duration_s": duration,
@@ -138,26 +123,12 @@ def test_scaling_sweep(benchmark):
     by_n = {row["n"]: row for row in rows}
     if 1000 in by_n:
         assert by_n[1000]["speedup_vec_vs_flat"] >= 10.0, \
-            f"vectorized engine must be ≥10x over the flat scan at " \
+            f"vec engine must be ≥10x over the flat scan at " \
             f"N=1000, got {by_n[1000]['speedup_vec_vs_flat']:.1f}x"
-    if 500 in by_n:
-        assert by_n[500]["speedup_grid_vs_flat"] >= 3.0, \
-            f"spatial index must be ≥3x at N=500, got " \
-            f"{by_n[500]['speedup_grid_vs_flat']:.1f}x"
-    for row in rows:
-        if row["n"] >= 300:
-            assert row["speedup_vec_vs_grid"] > 1.0, \
-                f"vectorized engine slower than scalar grid at " \
-                f"N={row['n']}: {row['speedup_vec_vs_grid']:.2f}x"
-    # Smoke runs cap the sweep below the N≥300 rows; still require the
-    # vectorized engine to win at the largest N actually measured.
-    assert rows[-1]["speedup_vec_vs_grid"] > 1.0, \
-        f"vectorized engine slower than scalar grid at " \
-        f"N={rows[-1]['n']}: {rows[-1]['speedup_vec_vs_grid']:.2f}x"
 
 
 def test_equality_on_figure_families(benchmark):
-    """vec == grid == flat, exactly, on all five scenario families."""
+    """vec == flat, exactly, on all five scenario families."""
     s = scale()
     families = {
         "fig11": rwp_scenario(s, 10.0, 10.0, validity=60.0, interest=0.8),
@@ -176,15 +147,13 @@ def test_equality_on_figure_families(benchmark):
             for seed in seeds:
                 cfg = family_cfg.with_changes(seed=seed)
                 want = run_scenario(cfg).summary()
-                if want != run_scenario(cfg.with_scalar_engine()).summary():
-                    mismatches.append((name, seed, "grid"))
                 if want != run_scenario(cfg.with_flat_medium()).summary():
-                    mismatches.append((name, seed, "flat"))
+                    mismatches.append((name, seed))
         return mismatches
 
     mismatches = benchmark.pedantic(compare_all, rounds=1, iterations=1)
     assert mismatches == []
-    publish_text("bench_scale equality: vec == grid == flat summaries on "
+    publish_text("bench_scale equality: vec == flat summaries on "
                  f"{sorted(families)} x seeds {seeds}")
 
 

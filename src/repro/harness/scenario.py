@@ -345,30 +345,17 @@ class ScenarioConfig:
         return replace(self, **changes)
 
     def with_flat_medium(self) -> "ScenarioConfig":
-        """The paired all-scalar reference config.
+        """The paired flat reference config.
 
-        Switches off every acceleration layer at once — the spatial
-        grid, the numpy batch engine and the coalesced timer wheel — so
-        the world runs the naive O(N) full-scan medium with one kernel
-        timer per periodic task.  The equality tests and
+        Switches off every acceleration layer at once — the vec engine
+        (spatial grid plus numpy batch engine) and the coalesced timer
+        wheel — so the world runs the naive O(N) full-scan medium with
+        one kernel timer per periodic task.  The equality tests and
         ``benchmarks/bench_scale.py`` prove the accelerated stack
         reproduces this reference bit for bit.
         """
         return self.with_changes(
-            medium=replace(self.medium, spatial_index=False,
-                           vectorized=False),
-            coalesced_timers=False)
-
-    def with_scalar_engine(self) -> "ScenarioConfig":
-        """The grid-backed but scalar config (PR-3 behaviour).
-
-        Keeps the spatial index's candidate pruning while switching off
-        the numpy batch engine and the timer wheel — the middle rung of
-        the vectorized / grid-scalar / flat-scalar equality ladder, and
-        the baseline the vectorized speedup is measured against.
-        """
-        return self.with_changes(
-            medium=replace(self.medium, vectorized=False),
+            medium=replace(self.medium, spatial_index=False),
             coalesced_timers=False)
 
     # -- convenience presets --------------------------------------------------

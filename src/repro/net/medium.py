@@ -22,70 +22,54 @@ Positions are sampled from each node's mobility model at transmission
 start; at pedestrian/vehicular speeds and millisecond airtimes the
 displacement within a frame is negligible.
 
-Spatial indexing
-----------------
-With ``MediumConfig.spatial_index`` on (the default) the medium resolves
-"who can hear this frame?" through a :class:`~repro.sim.space.SpatialGrid`
-instead of scanning every registered node:
+Two engines
+-----------
+``MediumConfig.spatial_index`` selects one of two engines.  Their
+results are bit-identical (``tests/test_vectorized_medium.py`` and
+``benchmarks/bench_scale.py`` assert float equality of per-seed
+summaries across every scenario family).
+
+**vec** (``spatial_index=True``, the default) resolves "who can hear
+this frame?" through a :class:`~repro.sim.space.SpatialGrid` and the
+numpy engine of :mod:`repro.sim.batch`:
 
 * each node's mobility model *pushes* position anchors into the grid
   (``MobilityModel.on_move``), re-anchoring at leg boundaries and every
   ``anchor slack`` metres along a leg, so an anchor is never more than the
   slack distance away from the node's true position;
-* receiver resolution queries the grid with ``range + slack`` and then
-  re-filters the candidates against their *exact* interpolated positions,
-  so the result set — and therefore every delivery, collision and CSMA
-  back-off draw — is bit-identical to the O(N) full scan;
+* nodes also push *leg states* (:meth:`MobilityModel.leg_state`) into a
+  :class:`~repro.sim.batch.LegTable`; receiver resolution queries the
+  grid with ``range + slack`` and re-filters the candidates against
+  their *exact* interpolated positions in one array expression;
 * candidate iteration is in deterministic ascending-id order
-  (:meth:`SpatialGrid.query_radius` sorts), the same order the full scan
+  (:meth:`SpatialGrid.query_radius` sorts), the same order the flat scan
   uses, so event sequences match exactly;
-* recent transmissions live in a second grid (:class:`_TransmissionIndex`)
-  so carrier sense and collision checks only examine frames whose sender
-  was geometrically close enough to matter.
-
-``spatial_index=False`` keeps the flat O(N) scan.  Both modes iterate
-receivers in ascending-id order — the flat scan historically used dict
-insertion order, which only differs after a mid-run re-registration
-(``Node.repower``); sharing the sorted order is what makes the two modes
-produce exactly equal results in every lifecycle
-(``tests/test_spatial_medium.py`` and ``benchmarks/bench_scale.py``
-assert float equality of per-seed summaries).
-
-Batch frame resolution
-----------------------
-With ``MediumConfig.vectorized`` on (the default, when numpy is
-importable) the grid still prunes candidates, but the exact re-filter,
-carrier sense and collision resolution run through the numpy engine of
-:mod:`repro.sim.batch`:
-
-* nodes push *leg states* (:meth:`MobilityModel.leg_state`) into a
-  :class:`~repro.sim.batch.LegTable`, so one array expression
-  interpolates every candidate's exact position at once instead of one
-  Python ``position()`` call per candidate;
 * recent transmissions live in a :class:`~repro.sim.batch.TxLog`;
   carrier sense and per-receiver collision verdicts are array queries;
 * the K per-receiver delivery events of one frame collapse into a
   *single* kernel event (:meth:`WirelessMedium._deliver_batch`).  This
-  is exactly order-equivalent to K consecutive events: the scalar path
-  schedules them back-to-back with consecutive sequence numbers at the
-  same instant, and a frame's overlap set is final at its end time (the
-  overlap predicate is strict, so a transmission *starting* at the
-  delivery instant never overlaps), hence no event can observably
-  interleave between the per-receiver deliveries;
+  is exactly order-equivalent to the flat engine's K consecutive
+  events: those are scheduled back-to-back with consecutive sequence
+  numbers at the same instant, and a frame's overlap set is final at
+  its end time (the overlap predicate is strict, so a transmission
+  *starting* at the delivery instant never overlaps), hence no event
+  can observably interleave between the per-receiver deliveries;
 * every distance predicate uses the band-prefilter + exact
   ``math.hypot`` confirmation of :mod:`repro.sim.batch`, so verdicts
-  are bit-identical to the scalar engine, not merely close
-  (``tests/test_vectorized_medium.py`` asserts exact summary equality
-  across every scenario family).
+  are bit-identical to the flat scan, not merely close.
 
-``vectorized=False`` (or an import-less numpy) selects the scalar
-engine; ``spatial_index=False`` implies it.
+**flat** (``spatial_index=False``) is the O(N) reference oracle: every
+registered node is a receiver candidate, and carrier sense and
+collisions scan plain lists of recent transmissions.  It iterates
+receivers in ascending-id order too — dict insertion order would only
+differ after a mid-run re-registration (``Node.repower``); sharing the
+sorted order is what keeps the two engines exactly equal in every
+lifecycle.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -117,16 +101,11 @@ class MediumConfig:
     model_collisions:
         Whether overlapping audible frames corrupt each other.
     spatial_index:
-        Resolve receivers/collisions through the spatial grid (default).
-        ``False`` falls back to the flat O(N) scan; results are exactly
-        equal either way.
-    vectorized:
-        Run the exact re-filter, carrier sense and collision resolution
-        through the numpy batch engine (:mod:`repro.sim.batch`) and
-        coalesce each frame's per-receiver deliveries into one kernel
-        event.  Requires ``spatial_index`` (the grid provides the
-        candidate pruning) and numpy; otherwise the scalar engine is
-        used silently.  Results are bit-identical either way.
+        The engine selector.  ``True`` (the default) runs the vec
+        engine: spatial-grid pruning plus the numpy batch engine
+        (:mod:`repro.sim.batch`), with each frame's per-receiver
+        deliveries coalesced into one kernel event.  ``False`` runs the
+        flat O(N) reference scan.  Results are exactly equal either way.
     anchor_slack_m:
         Maximum distance (metres) a node's true position may drift from
         its indexed anchor before the mobility model re-anchors it.
@@ -145,7 +124,6 @@ class MediumConfig:
     frame_loss_probability: float = 0.0
     model_collisions: bool = True
     spatial_index: bool = True
-    vectorized: bool = True
     anchor_slack_m: Optional[float] = None
     history_horizon_s: float = 1.0
 
@@ -181,85 +159,6 @@ class Transmission:
         return self.sender_pos.distance_to(pos) <= self.range_m
 
 
-class _TransmissionIndex:
-    """Range-pruned store of recent transmissions.
-
-    Replaces the medium's flat ``_active``/``_history`` lists: frames are
-    indexed by their (immutable) sender position in a
-    :class:`SpatialGrid`, so carrier sense and collision resolution only
-    examine transmissions whose sender was close enough to be audible,
-    instead of every frame of the last second.  Entries older than the
-    horizon are pruned on insertion, oldest first.
-
-    A per-sender side table serves the half-duplex check ("was the
-    receiver itself transmitting?"), which the flat scan resolves by
-    sender id rather than by geometry and must therefore never depend on
-    a range query.
-    """
-
-    def __init__(self, cell_size: float, horizon_s: float):
-        self._grid = SpatialGrid(cell_size)
-        self._horizon_s = horizon_s
-        self._txs: Dict[int, Transmission] = {}          # insertion-ordered
-        self._by_sender: Dict[int, Dict[int, Transmission]] = {}
-        self._ids = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._txs)
-
-    def add(self, tx: Transmission, now: float) -> None:
-        """Insert a new frame and prune everything beyond the horizon."""
-        tx_id = next(self._ids)
-        self._txs[tx_id] = tx
-        self._grid.insert(tx_id, tx.sender_pos)
-        self._by_sender.setdefault(tx.sender, {})[tx_id] = tx
-        self._prune(now)
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self._horizon_s
-        while self._txs:
-            tx_id = next(iter(self._txs))
-            tx = self._txs[tx_id]
-            if tx.end >= horizon:
-                break
-            del self._txs[tx_id]
-            self._grid.remove(tx_id)
-            per_sender = self._by_sender.get(tx.sender)
-            if per_sender is not None:
-                per_sender.pop(tx_id, None)
-                if not per_sender:
-                    del self._by_sender[tx.sender]
-
-    def channel_busy(self, pos: Vec2, now: float, query_radius: float) -> bool:
-        """Any transmission still on the air and audible at ``pos``?"""
-        for tx_id in self._grid.query_radius(pos, query_radius):
-            tx = self._txs[tx_id]
-            if tx.end > now and tx.audible_at(pos):
-                return True
-        return False
-
-    def corrupts(self, tx: Transmission, receiver_id: int, rx_pos: Vec2,
-                 query_radius: float) -> bool:
-        """Did any other frame corrupt ``tx`` at this receiver?
-
-        Same predicate as the flat history scan: another frame overlapping
-        ``tx`` in time that was either sent by the receiver itself
-        (half-duplex) or audible at the receiver's position.
-        """
-        own = self._by_sender.get(receiver_id)
-        if own:
-            for other in own.values():
-                if other is not tx and other.overlaps(tx):
-                    return True
-        for tx_id in self._grid.query_radius(rx_pos, query_radius):
-            other = self._txs[tx_id]
-            if other is tx or not other.overlaps(tx):
-                continue
-            if other.audible_at(rx_pos):
-                return True
-        return False
-
-
 class WirelessMedium:
     """Broadcast medium shared by all nodes of a simulation.
 
@@ -275,7 +174,8 @@ class WirelessMedium:
     sizes:
         Wire-size model used to derive frame airtimes.
     rng:
-        Dedicated random stream for CSMA back-off and uniform loss draws.
+        Dedicated random stream for CSMA back-off and uniform loss draws
+        (see :meth:`_mac_stream`).
     """
 
     def __init__(self, sim: Simulator, radio: RadioConfig,
@@ -288,33 +188,23 @@ class WirelessMedium:
         self.sizes = sizes or SizeModel()
         self._rng = rng
         self._nodes: Dict[int, "Node"] = {}
-        self._active: List[Transmission] = []    # flat mode only
-        self._history: List[Transmission] = []   # flat mode only
-        # Spatial indexing: node anchors + recent transmissions.  Cell
-        # size equals the inflated query radius, so every range query
-        # touches exactly a 3x3 block of cells.
+        self._active: List[Transmission] = []    # flat engine only
+        self._history: List[Transmission] = []   # flat engine only
+        # Vec engine: node anchors in a grid whose cell size equals the
+        # inflated query radius (every range query touches exactly a
+        # 3x3 block of cells), exact legs and recent transmissions in
+        # the batch engine's columns.
         range_m = radio.communication_range_m()
         slack = self.config.anchor_slack_m
         self._slack_m = slack if slack is not None else range_m / 8.0
         self._query_radius_m = range_m + self._slack_m
-        vectorized = (self.config.vectorized and self.config.spatial_index
-                      and batch.HAVE_NUMPY)
+        self._grid: Optional[SpatialGrid] = None
+        self._legs: Optional[batch.LegTable] = None
+        self._txlog: Optional[batch.TxLog] = None
         if self.config.spatial_index:
-            self._grid: Optional[SpatialGrid] = \
-                SpatialGrid(self._query_radius_m)
-        else:
-            self._grid = None
-        if vectorized:
-            self._legs: Optional[batch.LegTable] = batch.LegTable()
-            self._txlog: Optional[batch.TxLog] = \
-                batch.TxLog(self.config.history_horizon_s)
-            self._tx_index: Optional[_TransmissionIndex] = None
-        else:
-            self._legs = None
-            self._txlog = None
-            self._tx_index = (_TransmissionIndex(
-                self._query_radius_m, self.config.history_horizon_s)
-                if self.config.spatial_index else None)
+            self._grid = SpatialGrid(self._query_radius_m)
+            self._legs = batch.LegTable()
+            self._txlog = batch.TxLog(self.config.history_horizon_s)
         # Incrementally sorted receiver snapshot for the flat scan (and
         # any other ascending-id full iteration): maintained on
         # register/unregister instead of re-sorting the node dict per
@@ -375,13 +265,12 @@ class WirelessMedium:
             except RuntimeError:
                 return
             self._grid.insert(node.id, pos)
-            if self._legs is not None:
-                # Seed a parked leg so the batch engine can resolve the
-                # node immediately; a node with a live mobility model
-                # overwrites this with its true leg when the leg-change
-                # wiring pushes (same call stack, before any query).
-                self._legs.note(node.id, batch.static_state(
-                    pos.x, pos.y, self.sim.now))
+            # Seed a parked leg so the batch engine can resolve the node
+            # immediately; a node with a live mobility model overwrites
+            # this with its true leg when the leg-change wiring pushes
+            # (same call stack, before any query).
+            self._legs.note(node.id, batch.static_state(
+                pos.x, pos.y, self.sim.now))
 
     def unregister(self, node_id: int) -> None:
         """Remove a node from the medium and from the spatial index.
@@ -399,14 +288,13 @@ class WirelessMedium:
                 self._sorted_nodes.pop(idx)
         if self._grid is not None:
             self._grid.remove(node_id)
-        if self._legs is not None:
             self._legs.remove(node_id)
 
     def note_position(self, node_id: int, pos: Vec2) -> None:
         """Record a position anchor pushed by a node's mobility model.
 
         Anchors for unregistered ids (crashed-and-drained devices still
-        riding a vehicle) are dropped.  In flat-scan mode this is a no-op.
+        riding a vehicle) are dropped.  A no-op under the flat engine.
         """
         if self._grid is not None and node_id in self._nodes:
             self._grid.insert(node_id, pos)
@@ -418,21 +306,16 @@ class WirelessMedium:
         boundary keeps :class:`~repro.sim.batch.LegTable` able to
         reproduce ``position()`` bit for bit until the next boundary.
         Pushes for unregistered ids are dropped, mirroring
-        :meth:`note_position`; a no-op under the scalar engine.
+        :meth:`note_position`; a no-op under the flat engine.
         """
         if self._legs is not None and node_id in self._nodes:
             self._legs.note(node_id, state)
 
     @property
-    def wants_leg_state(self) -> bool:
-        """True when nodes must wire :meth:`note_leg` pushes (the
-        vectorized engine is active)."""
-        return self._legs is not None
-
-    @property
     def position_slack_m(self) -> Optional[float]:
         """Mid-leg re-anchor distance nodes must honour (metres), or
-        ``None`` when the flat scan is active and no pushes are needed."""
+        ``None`` when the flat engine is active and no pushes — anchors
+        or leg states — are needed."""
         if self._grid is None:
             return None
         return self._slack_m
@@ -446,26 +329,22 @@ class WirelessMedium:
         """Registered nodes whose *exact* position lies within
         ``radius_m`` of ``pos``, in ascending-id order.
 
-        Resolution mirrors receiver resolution: in grid mode the spatial
-        index is queried with ``radius + slack`` (an anchor is never
-        staler than the slack distance) and candidates are re-filtered
-        against exact interpolated positions, so both modes return the
-        identical set.  Used by the fault subsystem to resolve regional
-        outage membership.
+        Resolution mirrors receiver resolution: the vec engine queries
+        the spatial index with ``radius + slack`` (an anchor is never
+        staler than the slack distance) and re-filters candidates
+        against exact interpolated positions, so both engines return
+        the identical set.  Used by the fault subsystem to resolve
+        regional outage membership.
         """
         if radius_m < 0:
             raise ValueError(f"radius_m must be >= 0: {radius_m}")
         if self._grid is not None:
             ids = self._grid.query_radius(pos, radius_m + self._slack_m)
-            if self._legs is not None:
-                hits = self._legs.audible(
-                    [i for i in ids if i in self._nodes],
-                    self.sim.now, pos.x, pos.y, radius_m)
-                return [self._nodes[i] for i, _ in hits]
-            candidates = [self._nodes[i] for i in ids if i in self._nodes]
-        else:
-            candidates = list(self._sorted_nodes)
-        return [node for node in candidates
+            hits = self._legs.audible(
+                [i for i in ids if i in self._nodes],
+                self.sim.now, pos.x, pos.y, radius_m)
+            return [self._nodes[i] for i, _ in hits]
+        return [node for node in self._sorted_nodes
                 if node.position().distance_to(pos) <= radius_m]
 
     # -- sending --------------------------------------------------------------------
@@ -485,30 +364,38 @@ class WirelessMedium:
         pos = sender.position()
         if (self.config.csma_enabled
                 and attempt < self.config.max_csma_retries
-                and self._channel_busy(pos)):
-            delay = self._csma_delay()
+                and self._channel_busy(sender_id, pos)):
+            delay = self._csma_delay(sender_id)
             self.sim.schedule(delay, self._attempt_send, sender_id,
                               message, attempt + 1)
             return
         self._transmit(sender, pos, message)
 
-    def _csma_delay(self) -> float:
+    def _mac_stream(self, kind: str, node_id: int):
+        """The random stream one MAC draw comes from.
+
+        ``kind`` is ``"backoff"`` (a CSMA back-off of sender
+        ``node_id``) or ``"loss"`` (a uniform-loss draw at receiver
+        ``node_id``).  Here every draw shares the medium's one stream;
+        the sharded medium overrides this with per-node streams.
+        """
+        return self._rng
+
+    def _csma_delay(self, sender_id: int) -> float:
         lo = self.config.csma_backoff_min_s
         hi = self.config.csma_backoff_max_s
-        if self._rng is None or hi <= lo:
+        if hi <= lo:
             return lo
-        return self._rng.uniform(lo, hi)
+        rng = self._mac_stream("backoff", sender_id)
+        return lo if rng is None else rng.uniform(lo, hi)
 
-    def _channel_busy(self, pos: Vec2) -> bool:
+    def _channel_busy(self, sender_id: int, pos: Vec2) -> bool:
         """Any audible transmission defers a sender — including its *own*
         in-flight frame, which is how a half-duplex MAC serialises a
         node's back-to-back sends instead of corrupting both."""
         now = self.sim.now
         if self._txlog is not None:
             return self._txlog.busy(pos.x, pos.y, now)
-        if self._tx_index is not None:
-            return self._tx_index.channel_busy(pos, now,
-                                               self._query_radius_m)
         self._prune_active(now)
         return any(t.audible_at(pos) for t in self._active)
 
@@ -523,41 +410,31 @@ class WirelessMedium:
         tx = Transmission(sender=sender.id, sender_pos=pos,
                           range_m=self.radio.communication_range_m(),
                           start=now, end=now + duration, message=message)
-        if self.shard_ingress is not None:
-            # Sharded execution: count + hook accounting happen here (the
-            # sender's shard owns its TX metrics), then the frame leaves
-            # for the epoch-barrier exchange instead of local resolution.
-            self.frames_sent += 1
-            if self.on_transmit is not None:
-                self.on_transmit(sender.id, message, size)
-            if self.on_tx_window is not None:
-                self.on_tx_window(sender.id, duration)
-            self.shard_ingress(tx)
-            return
-        tx_seq = -1
-        if self._txlog is not None:
-            tx_seq = self._txlog.add(sender.id, pos.x, pos.y, tx.range_m,
-                                     tx.start, tx.end)
-        elif self._tx_index is not None:
-            self._tx_index.add(tx, now)
-        else:
-            self._prune_active(now)
-            self._active.append(tx)
-            self._history.append(tx)
-            self._trim_history(now)
         self.frames_sent += 1
         if self.on_transmit is not None:
             self.on_transmit(sender.id, message, size)
         if self.on_tx_window is not None:
             self.on_tx_window(sender.id, duration)
-        if self._legs is not None:
+        if self.shard_ingress is not None:
+            # Sharded execution: the sender's shard owns its TX metrics
+            # (counted above); the frame leaves for the epoch-barrier
+            # exchange instead of local resolution.
+            self.shard_ingress(tx)
+            return
+        if self._txlog is not None:
+            tx_seq = self._txlog.add(sender.id, pos.x, pos.y, tx.range_m,
+                                     tx.start, tx.end)
             self._transmit_batch(sender.id, pos, tx, tx_seq, duration)
             return
+        self._prune_active(now)
+        self._active.append(tx)
+        self._history.append(tx)
+        self._trim_history(now)
         # Snapshot receivers at transmission start.  A sleeping radio is
         # deaf *and* free: it neither receives the frame nor pays the RX
         # energy for it.  Iterate a snapshot: charging an RX window can
         # deplete the receiver's battery and unregister it mid-loop.
-        for node in self._receiver_candidates(sender.id, pos):
+        for node in list(self._sorted_nodes):
             if node.id == sender.id or not node.listening:
                 continue
             rx_pos = node.position()
@@ -569,17 +446,17 @@ class WirelessMedium:
 
     def _transmit_batch(self, sender_id: int, pos: Vec2, tx: Transmission,
                         tx_seq: int, duration: float) -> None:
-        """Vectorized receiver resolution + one coalesced delivery event.
+        """Vec receiver resolution + one coalesced delivery event.
 
         The audible set is resolved for all grid candidates at once
         (exact interpolated positions from the :class:`LegTable`), then
-        walked in the same ascending-id order as the scalar loop: the
+        walked in the same ascending-id order as the flat loop: the
         listening filter and RX-energy charges happen per node, in the
         identical sequence, so battery depletions mid-walk unfold
-        exactly as they do scalar.  The per-receiver deliveries collapse
-        into a single :meth:`_deliver_batch` event — order-equivalent to
-        the scalar path's K consecutive same-instant events (see the
-        module docstring).
+        exactly as they do under the flat engine.  The per-receiver
+        deliveries collapse into a single :meth:`_deliver_batch` event —
+        order-equivalent to the flat engine's K consecutive same-instant
+        events (see the module docstring).
         """
         audible = self._legs.audible(
             self._grid.query_radius(pos, self._query_radius_m,
@@ -596,22 +473,6 @@ class WirelessMedium:
         if receivers:
             self.sim.schedule(duration, self._deliver_batch, tx, tx_seq,
                               receivers)
-
-    def _receiver_candidates(self, sender_id: int,
-                             pos: Vec2) -> List["Node"]:
-        """Snapshot of potential receivers in ascending-id order.
-
-        Grid mode prunes to nodes whose last anchor lies within
-        ``range + slack`` of the sender — a superset of the true audible
-        set, since an anchor is never staler than the slack distance.
-        The caller re-filters against exact positions, so both modes
-        resolve the identical receiver set in the identical order.
-        """
-        if self._grid is not None:
-            ids = self._grid.query_radius(pos, self._query_radius_m,
-                                          exclude=sender_id)
-            return [self._nodes[i] for i in ids if i in self._nodes]
-        return list(self._sorted_nodes)
 
     def _trim_history(self, now: float) -> None:
         # Keep only transmissions that can still collide with a live one.
@@ -649,7 +510,7 @@ class WirelessMedium:
         overlap predicate is strict) and verdicts consume no RNG, so a
         verdict computed up front equals one computed between
         deliveries.  Receivers are then walked in the same ascending-id
-        order as the scalar path's consecutive delivery events,
+        order as the flat engine's consecutive delivery events,
         consuming identical loss draws and delivering identically —
         including re-checking liveness per receiver, since an earlier
         delivery's protocol reaction can crash or silence a later
@@ -672,16 +533,17 @@ class WirelessMedium:
     def _finish_delivery(self, tx: Transmission, receiver_id: int,
                          node: "Node", corrupted: bool) -> None:
         """Common delivery tail: collision/loss/fault gauntlet, then
-        hand the frame to the receiver (scalar and batch paths share
-        this so drop accounting and RNG draw order cannot diverge)."""
+        hand the frame to the receiver (both engines and the sharded
+        medium share this so drop accounting and RNG draw order cannot
+        diverge)."""
         if corrupted:
             self.frames_collided += 1
             if self.on_drop is not None:
                 self.on_drop(receiver_id, tx.message, "collision")
             return
-        if (self.config.frame_loss_probability > 0.0
-                and self._rng is not None
-                and self._rng.random() < self.config.frame_loss_probability):
+        p = self.config.frame_loss_probability
+        rng = self._mac_stream("loss", receiver_id) if p > 0.0 else None
+        if rng is not None and rng.random() < p:
             self.frames_lost_random += 1
             if self.on_drop is not None:
                 self.on_drop(receiver_id, tx.message, "loss")
@@ -701,9 +563,6 @@ class WirelessMedium:
                    rx_pos: Vec2) -> bool:
         """A frame is corrupted when another audible frame overlapped it,
         or when the receiver was transmitting itself (half-duplex)."""
-        if self._tx_index is not None:
-            return self._tx_index.corrupts(tx, receiver_id, rx_pos,
-                                           self._query_radius_m)
         for other in self._history:
             if other is tx:
                 continue

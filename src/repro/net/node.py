@@ -57,25 +57,22 @@ class Node:
         self.on_radio_state: Optional[Callable[["Node", str], None]] = None
         protocol.attach(self)
         medium.register(self)
-        # Spatial-index wiring: the mobility model pushes position anchors
+        # Vec-engine wiring: the mobility model pushes position anchors
         # into the medium's grid (at leg boundaries and every slack-metres
-        # of travel) instead of the medium polling position() per frame.
-        # A flat-scan medium advertises no slack and gets no pushes.
+        # of travel) and leg states into its LegTable, so the medium
+        # interpolates exact positions without a per-frame position()
+        # call (see repro.sim.batch).  A flat medium advertises no slack
+        # and gets no pushes.
         slack = medium.position_slack_m
         if slack is not None:
             mobility.anchor_interval_m = slack
             mobility.on_move = self._announce_position
+            mobility.on_leg_change = self._announce_leg
             # A model started before this wiring is mid-leg with no
             # re-anchor timer armed; resync so its anchor stays
             # slack-bounded from here on.
             if mobility.started:
                 mobility.refresh_anchor()
-        # Batch-engine wiring: leg-state pushes let the medium's
-        # LegTable interpolate this node's exact position without a
-        # per-frame position() call (see repro.sim.batch).
-        if medium.wants_leg_state:
-            mobility.on_leg_change = self._announce_leg
-            if mobility.started:
                 self._announce_leg()
 
     # -- lifecycle ------------------------------------------------------------------
@@ -155,7 +152,6 @@ class Node:
         if self.medium.position_slack_m is not None:
             self.mobility.on_move = self._announce_position
             self.mobility.refresh_anchor()
-        if self.medium.wants_leg_state:
             self.mobility.on_leg_change = self._announce_leg
             if self.mobility.started:
                 self._announce_leg()

@@ -3,16 +3,18 @@
 The wireless medium's hot path answers two geometric questions thousands
 of times per simulated second: *who is within radio range of this
 transmitter?* (receiver resolution) and *which overlapping frames were
-audible at this receiver?* (collision resolution).  The scalar engine
-answers them one candidate at a time — a Python-level interpolation and
-``math.hypot`` per candidate.  This module answers them for *all*
-candidates of a frame at once with numpy array arithmetic, while staying
-**bit-identical** to the scalar engine.
+audible at this receiver?* (collision resolution).  The flat reference
+engine answers them one node at a time — a Python-level interpolation
+and ``math.hypot`` per candidate.  This module is the core of the
+default vec engine: it answers them for *all* candidates of a frame at
+once with numpy array arithmetic, while staying **bit-identical** to the
+flat engine.  numpy is a hard dependency; without it this module fails
+to import.
 
 Bit-identity strategy
 ---------------------
-Two ingredients make the vectorized answers exactly equal to the scalar
-ones, not merely close:
+Two ingredients make the vectorized answers exactly equal to the flat
+engine's, not merely close:
 
 1. **Identical interpolation arithmetic.**  :class:`LegTable` stores each
    node's current movement leg as ``(x0, y0, x1, y1, t0, dur)`` and
@@ -33,10 +35,6 @@ ones, not merely close:
    procedure is therefore literally the scalar one; numpy only prunes
    candidates that both procedures would reject.
 
-When numpy is unavailable (:data:`HAVE_NUMPY` is False) the medium
-silently falls back to the scalar engine; results are identical either
-way, only slower.
-
 Small-batch fast path
 ---------------------
 At the paper's density (6 processes/km²) a frame has only a handful of
@@ -53,14 +51,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.space import Vec2
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
-    HAVE_NUMPY = False
+from repro.sim.space import Vec2
 
 #: Relative squared-distance band for the vectorized prefilter.  The
 #: exact predicate ``math.hypot(dx, dy) <= r`` can only accept points
@@ -102,8 +95,6 @@ class LegTable:
     """
 
     def __init__(self, capacity: int = 64):
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by the medium
-            raise RuntimeError("LegTable requires numpy")
         self._slot: Dict[int, int] = {}
         self._ids: List[int] = []
         self._n = 0
@@ -219,8 +210,6 @@ class TxLog:
     """
 
     def __init__(self, horizon_s: float, capacity: int = 64):
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by the medium
-            raise RuntimeError("TxLog requires numpy")
         self._horizon_s = float(horizon_s)
         cap = max(4, capacity)
         self._sender = _np.zeros(cap, dtype=_np.int64)

@@ -274,16 +274,20 @@ class ShardMedium(WirelessMedium):
     * outgoing frames divert through ``shard_ingress`` into an epoch
       outbox instead of resolving receivers immediately;
     * committed frames occupy the channel shifted by the universe's
-      delivery latency — carrier sense sees a neighbour's frame over
-      ``(start + L, end + L)`` and the sender's own over ``[start,
-      end)`` (half duplex in real time), never a co-resident
-      neighbour's *uncommitted* traffic: co-residency must be
-      unobservable;
+      delivery latency — carrier sense (:meth:`_channel_busy`) sees a
+      neighbour's frame over ``(start + L, end + L)`` and the sender's
+      own over ``[start, end)`` (half duplex in real time), never a
+      co-resident neighbour's *uncommitted* traffic: co-residency must
+      be unobservable;
     * CSMA back-off and uniform frame-loss draws come from per-node
-      streams so their sequences are independent of shard composition;
+      streams (:meth:`_mac_stream`) so their sequences are independent
+      of shard composition;
     * each ingested frame's delivery — receiver resolution, collision
       verdict, loss draws, protocol reaction — runs as a kernel event
       at its exact ``end + L``, *inside* the epoch, not at a barrier.
+
+    The send path (``_attempt_send``) and the delivery gauntlet
+    (``_finish_delivery``) are the classic medium's own.
     """
 
     def __init__(self, sim, radio, config, sizes,
@@ -326,24 +330,17 @@ class ShardMedium(WirelessMedium):
         # which never wait for a barrier.
         self._own_tx.setdefault(tx.sender, []).append((tx.start, tx.end))
 
-    def _attempt_send(self, sender_id: int, message, attempt: int) -> None:
-        sender = self._nodes.get(sender_id)
-        if sender is None or not sender.alive:
-            return  # sender crashed while the frame was queued
-        if sender.asleep or sender.silenced:
-            sender.send(message)   # radio went down mid-backoff: requeue
-            return
-        pos = sender.position()
-        if (self.config.csma_enabled
-                and attempt < self.config.max_csma_retries
-                and self._shard_busy(sender_id, pos)):
-            delay = self._shard_csma_delay(sender_id)
-            self.sim.schedule(delay, self._attempt_send, sender_id,
-                              message, attempt + 1)
-            return
-        self._transmit(sender, pos, message)
+    def _mac_stream(self, kind: str, node_id: int):
+        """Per-node streams: back-off draws from the sender's, loss
+        draws from the receiver's (a shared stream's draw order would
+        be a merge artefact)."""
+        if kind == "backoff":
+            return self._node_rng(node_id)
+        return self._loss_rng(node_id)
 
-    def _shard_busy(self, sender_id: int, pos: Vec2) -> bool:
+    def _channel_busy(self, sender_id: int, pos: Vec2) -> bool:
+        """Carrier sense against the committed log's shifted
+        occupancies, plus the sender's own frame in real time."""
         now = self.sim.now
         if self._last_tx_end.get(sender_id, -math.inf) > now:
             return True   # own frame still on the air (half duplex)
@@ -365,13 +362,6 @@ class ShardMedium(WirelessMedium):
             if now < tx.end + shift and tx.audible_at(pos):
                 return True
         return False
-
-    def _shard_csma_delay(self, sender_id: int) -> float:
-        lo = self.config.csma_backoff_min_s
-        hi = self.config.csma_backoff_max_s
-        if hi <= lo:
-            return lo
-        return self._node_rng(sender_id).uniform(lo, hi)
 
     def collect_outbox(self) -> List[ShardFrame]:
         """Drain this epoch's transmissions (barrier step one)."""
@@ -448,37 +438,25 @@ class ShardMedium(WirelessMedium):
                 continue   # the RX charge drained its battery
             corrupted = (self.config.model_collisions
                          and self._corrupt_verdict(frame, node_id, rx_pos))
-            self._finish_shard_delivery(tx, node_id, node, corrupted)
+            self._finish_delivery(tx, node_id, node, corrupted)
 
     def _audible_residents(self, tx: Transmission
                            ) -> List[Tuple[int, Vec2]]:
         """Resident nodes (exact positions at the delivery instant,
         ascending id) in range.
 
-        Mirrors the classic receiver resolution: grid candidates are
-        re-filtered against exact interpolated positions (via the
-        numpy leg table when active), so spatial-index and flat modes
-        return the identical set.
+        Mirrors the classic receiver resolution: the vec engine
+        re-filters grid candidates against exact interpolated positions
+        from the leg table, so both engines return the identical set.
         """
         pos = tx.sender_pos
-        now = self.sim.now
         if self._grid is not None:
             ids = self._grid.query_radius(pos, self._query_radius_m,
                                           exclude=tx.sender)
-            if self._legs is not None:
-                return self._legs.audible(
-                    [i for i in ids if i in self._nodes],
-                    now, pos.x, pos.y, tx.range_m)
-            hits: List[Tuple[int, Vec2]] = []
-            for node_id in ids:
-                node = self._nodes.get(node_id)
-                if node is None:
-                    continue
-                rx_pos = node.position()
-                if tx.audible_at(rx_pos):
-                    hits.append((node_id, rx_pos))
-            return hits
-        hits = []
+            return self._legs.audible(
+                [i for i in ids if i in self._nodes],
+                self.sim.now, pos.x, pos.y, tx.range_m)
+        hits: List[Tuple[int, Vec2]] = []
         for node in list(self._sorted_nodes):
             if node.id == tx.sender:
                 continue
@@ -517,32 +495,6 @@ class ShardMedium(WirelessMedium):
             if otx.audible_at(rx_pos):
                 return True
         return False
-
-    def _finish_shard_delivery(self, tx: Transmission, receiver_id: int,
-                               node, corrupted: bool) -> None:
-        """The classic delivery gauntlet with a per-receiver loss
-        stream (shared-stream draw order would be a merge artefact)."""
-        if corrupted:
-            self.frames_collided += 1
-            if self.on_drop is not None:
-                self.on_drop(receiver_id, tx.message, "collision")
-            return
-        p = self.config.frame_loss_probability
-        if p > 0.0 and self._loss_rng(receiver_id).random() < p:
-            self.frames_lost_random += 1
-            if self.on_drop is not None:
-                self.on_drop(receiver_id, tx.message, "loss")
-            return
-        if self.extra_loss is not None and \
-                self.extra_loss(tx.sender, receiver_id):
-            self.frames_lost_fault += 1
-            if self.on_drop is not None:
-                self.on_drop(receiver_id, tx.message, "fault-loss")
-            return
-        self.frames_delivered += 1
-        if self.on_receive is not None:
-            self.on_receive(receiver_id, tx.message)
-        node.receive(tx.message)
 
     # -- bounding-box prefilter --------------------------------------------
 
@@ -808,6 +760,26 @@ def _shard_worker_main(conn, config, shard_index: int, owners: List[int],
         conn.close()
 
 
+def _receive(conn, proc, shard: int, where: str):
+    """One reply from a shard child, with every failure named.
+
+    A child that reported an exception raises it verbatim; a child that
+    died outright (killed, out of memory, ``os._exit``) closes its pipe,
+    which ``recv`` reports as a bare ``EOFError`` — turned here into an
+    error naming the shard, the barrier and the child's exit code.
+    """
+    try:
+        tag, data = conn.recv()
+    except EOFError:
+        proc.join(timeout=5)
+        raise RuntimeError(
+            f"shard {shard} died at {where} (exit code {proc.exitcode}): "
+            f"EOFError on its pipe") from None
+    if tag == "error":
+        raise RuntimeError(f"shard {shard} failed:\n{data}")
+    return data
+
+
 def _run_spawn(config, owners: List[int], barriers: List[float],
                epoch_s: float, margin: Optional[float]
                ) -> Tuple[List[Dict[str, object]], Dict[str, float]]:
@@ -836,12 +808,8 @@ def _run_spawn(config, owners: List[int], barriers: List[float],
             conns.append(parent_conn)
             procs.append(proc)
         for barrier in barriers:
-            drained = []
-            for s, conn in enumerate(conns):
-                tag, data = conn.recv()
-                if tag == "error":
-                    raise RuntimeError(f"shard {s} failed:\n{data}")
-                drained.append(data)
+            drained = [_receive(conn, proc, s, f"barrier {barrier:g} s")
+                       for s, (conn, proc) in enumerate(zip(conns, procs))]
             t0 = _wallclock.perf_counter()
             merged: List[ShardFrame] = []
             for batch, _bbox in drained:
@@ -853,12 +821,10 @@ def _run_spawn(config, owners: List[int], barriers: List[float],
             shipped += sum(len(r) for r in routed)
             for conn, slice_ in zip(conns, routed):
                 conn.send(slice_)
-        payloads: List[Dict[str, object]] = []
-        for s, conn in enumerate(conns):
-            tag, data = conn.recv()
-            if tag == "error":
-                raise RuntimeError(f"shard {s} failed:\n{data}")
-            payloads.append(data)
+        payloads: List[Dict[str, object]] = [
+            _receive(conn, proc, s,
+                     f"the final collect after barrier {barriers[-1]:g} s")
+            for s, (conn, proc) in enumerate(zip(conns, procs))]
         driver = {"merge_s": merge_s, "frames_exchanged": float(shipped)}
         return payloads, driver
     finally:

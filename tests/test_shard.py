@@ -28,6 +28,7 @@ from repro.harness.reporting import to_csv
 from repro.harness.scenario import (Publication, RandomWaypointSpec,
                                     ScenarioConfig, run_scenario)
 from repro.net import RadioConfig
+from repro.net.medium import MediumConfig
 from repro.sim.shard import ShardConfig, resolve_epoch_s
 from repro.sim.shard.engine import compute_ownership
 
@@ -80,13 +81,28 @@ def _rwp_faults() -> ScenarioConfig:
                             burst_loss_probability=0.8)))
 
 
+def _rwp_flat() -> ScenarioConfig:
+    """The frugal world on the flat O(N) medium: covers the shard
+    medium's receiver scan without the spatial index."""
+    return _rwp_frugal().with_flat_medium()
+
+
+def _rwp_uniform_loss() -> ScenarioConfig:
+    """Uniform frame loss: covers the per-receiver loss streams."""
+    return _rwp_frugal().with_changes(
+        medium=MediumConfig(frame_loss_probability=0.1))
+
+
 #: The K-invariance matrix: one config per scenario family tested by the
-#: engine-equality suites elsewhere (figure, flooding, energy, faults).
+#: engine-equality suites elsewhere (figure, flooding, energy, faults),
+#: plus the flat medium and uniform frame loss.
 MATRIX = {
     "rwp-frugal": _rwp_frugal,
     "rwp-flooding": _rwp_flooding,
     "rwp-energy-dutycycle": _rwp_energy,
     "rwp-churn-faults": _rwp_faults,
+    "rwp-flat": _rwp_flat,
+    "rwp-uniform-loss": _rwp_uniform_loss,
 }
 
 
@@ -241,6 +257,84 @@ class TestSpawnBackend:
         monkeypatch.setattr(shard_engine.multiprocessing,
                             "current_process", _DaemonProcess)
         assert shard_engine._select_backend(4) == "inproc"
+
+
+class _ScriptedPipe:
+    """Parent end of a shard pipe: replays scripted child replies, then
+    hits end-of-file the way the pipe of a dead child does."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+
+    def recv(self):
+        if not self.replies:
+            raise EOFError
+        return self.replies.pop(0)
+
+    def send(self, obj):
+        pass
+
+    def close(self):
+        pass
+
+
+class _DeadChild:
+    """A shard process that has already exited with a signal."""
+
+    exitcode = -9
+
+    def start(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        return False
+
+
+class _ScriptedContext:
+    """Stands in for the spawn context: one scripted pipe per shard."""
+
+    def __init__(self, *replies_per_shard):
+        self._pipes = [_ScriptedPipe(r) for r in replies_per_shard]
+
+    def Pipe(self):
+        return self._pipes.pop(0), _ScriptedPipe(())
+
+    def Process(self, **kwargs):
+        return _DeadChild()
+
+
+class TestDeadShardChild:
+    """A shard child that dies surfaces as a named error carrying the
+    shard, the barrier and the exit code, never a bare EOFError."""
+
+    BARRIERS = [1.0, 2.0]
+    FRAMES = ("frames", ([], None))
+
+    def _run(self, monkeypatch, *replies_per_shard):
+        from repro.sim.shard import engine as shard_engine
+
+        monkeypatch.setattr(shard_engine.multiprocessing, "get_context",
+                            lambda method: _ScriptedContext(
+                                *replies_per_shard))
+        shard_engine._run_spawn(_rwp_frugal().with_changes(shards=2),
+                                [0, 1], self.BARRIERS, 1.0, None)
+
+    def test_death_at_a_barrier_names_shard_barrier_and_exit_code(
+            self, monkeypatch):
+        with pytest.raises(RuntimeError,
+                           match=r"shard 1 died at barrier 2 s "
+                                 r"\(exit code -9\)"):
+            self._run(monkeypatch, [self.FRAMES] * 2, [self.FRAMES])
+
+    def test_death_before_the_final_collect_is_named(self, monkeypatch):
+        with pytest.raises(RuntimeError,
+                           match=r"shard 0 died at the final collect "
+                                 r"after barrier 2 s \(exit code -9\)"):
+            self._run(monkeypatch, [self.FRAMES] * 2,
+                      [self.FRAMES] * 2 + [("done", {})])
 
 
 class TestComposesWithEngine:

@@ -296,26 +296,10 @@ class TestHistoryPruning:
         medium.broadcast(0, hb(0))
         assert len(medium._history) == 2
 
-    def test_transmission_index_prunes_on_horizon(self, sim):
-        medium = WirelessMedium(sim, RadioConfig(range_override_m=100.0),
-                                config=MediumConfig(vectorized=False),
-                                rng=random.Random(0))
-        medium.register(self._Stub(0, Vec2(0, 0)))
-        medium.register(self._Stub(1, Vec2(10, 0)))
-        for _ in range(5):
-            medium.broadcast(0, hb(0))
-            sim.run(until=sim.now + 0.01)
-        sim.run(until=120.0)
-        medium.broadcast(0, hb(0))
-        sim.run_until_idle()
-        assert len(medium._tx_index) == 1
-
     def test_txlog_prunes_on_horizon(self, sim):
-        """The vectorized transmission log honours the same horizon."""
+        """The vec engine's transmission log honours the same horizon."""
         medium = WirelessMedium(sim, RadioConfig(range_override_m=100.0),
                                 rng=random.Random(0))
-        if medium._txlog is None:   # numpy-less fallback: nothing to pin
-            return
         medium.register(self._Stub(0, Vec2(0, 0)))
         medium.register(self._Stub(1, Vec2(10, 0)))
         for _ in range(5):

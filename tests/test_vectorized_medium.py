@@ -1,14 +1,13 @@
-"""Paired verification of the vectorized frame engine.
+"""Paired verification of the vec frame engine.
 
-The vectorized stack (numpy batch engine + coalesced timer wheel) claims
-**bit-identity** with the scalar reference, not statistical closeness.
-This suite holds it to that claim:
+The vec stack (spatial grid + numpy batch engine + coalesced timer
+wheel) claims **bit-identity** with the flat reference, not statistical
+closeness.  This suite holds it to that claim:
 
 * exact ``==`` on summaries across all five scenario families — fig11
   (random waypoint), fig14 (city section), fig17 (flooding sweep
-  representative), energy-lifetime and rwp-churn-faults — on the full
-  equality ladder vectorized == grid-scalar == flat-scalar;
-* engine invariance: serial == ``jobs=4`` == cached for the vectorized
+  representative), energy-lifetime and rwp-churn-faults — vec == flat;
+* engine invariance: serial == ``jobs=4`` == cached for the vec
   configs;
 * property-style randomized frames: scripted broadcast storms over
   random node layouts must produce identical per-node delivery traces
@@ -37,7 +36,6 @@ from repro.net import RadioConfig
 from repro.net.medium import MediumConfig, WirelessMedium
 from repro.net.messages import Heartbeat
 from repro.sim import Simulator
-from repro.sim.batch import HAVE_NUMPY
 from repro.sim.space import Vec2
 
 
@@ -100,33 +98,29 @@ SEEDS = [0, 1]
 
 
 class TestEqualityLadder:
-    """vectorized == grid-scalar == flat-scalar, exactly, everywhere."""
+    """vec == flat, exactly, everywhere."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("seed", SEEDS)
     def test_summaries_bit_identical(self, family, seed):
         cfg = FAMILIES[family]().with_changes(seed=seed)
         vec = run_scenario(cfg).summary()
-        grid = run_scenario(cfg.with_scalar_engine()).summary()
         flat = run_scenario(cfg.with_flat_medium()).summary()
-        assert vec == grid, f"{family}/s{seed}: vectorized != grid-scalar"
-        assert vec == flat, f"{family}/s{seed}: vectorized != flat-scalar"
+        assert vec == flat, f"{family}/s{seed}: vec != flat"
 
     def test_default_config_is_vectorized(self):
-        """The accelerated engine is the default, and the scalar rungs
-        are selectable — the pairing above is meaningful."""
+        """The vec engine is the default, and the flat oracle is
+        selectable — the pairing above is meaningful."""
         cfg = _fig11()
-        assert cfg.medium.vectorized and cfg.medium.spatial_index
+        assert cfg.medium.spatial_index
         assert cfg.coalesced_timers
-        assert not cfg.with_scalar_engine().medium.vectorized
         flat = cfg.with_flat_medium()
         assert not flat.medium.spatial_index
-        assert not flat.medium.vectorized
         assert not flat.coalesced_timers
 
 
 class TestEngineInvariance:
-    """The vectorized stack under the execution engine: fan-out and
+    """The vec stack under the execution engine: fan-out and
     cache replay must be invisible."""
 
     def test_serial_jobs4_cached_identical(self, tmp_path):
@@ -195,27 +189,24 @@ def _storm_trace(cfg: MediumConfig, seed: int):
     }
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized engine needs numpy")
 class TestRandomizedFrames:
-    """Property-style: batched and scalar receiver/collision resolution
+    """Property-style: batched and flat receiver/collision resolution
     agree frame for frame on randomized storms."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_storm_traces_identical(self, seed):
         vec = MediumConfig(csma_enabled=False)      # overlap guaranteed
-        flat = MediumConfig(csma_enabled=False, spatial_index=False,
-                            vectorized=False)
+        flat = MediumConfig(csma_enabled=False, spatial_index=False)
         assert _storm_trace(vec, seed) == _storm_trace(flat, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_storm_traces_identical_with_csma_and_loss(self, seed):
         vec = MediumConfig(frame_loss_probability=0.2)
         flat = MediumConfig(frame_loss_probability=0.2,
-                            spatial_index=False, vectorized=False)
+                            spatial_index=False)
         assert _storm_trace(vec, seed) == _storm_trace(flat, seed)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized engine needs numpy")
 class TestRangeQueries:
     """nodes_within: batched interpolation == per-node scalar recompute,
     on a population that is actually moving."""
@@ -232,7 +223,7 @@ class TestRangeQueries:
         for stop_at in (3.0, 9.5, 17.25):
             world.sim.run(until=stop_at)
             medium = world.medium
-            assert medium._legs is not None   # vectorized engine active
+            assert medium._legs is not None   # vec engine active
             for _ in range(20):
                 center = Vec2(query_rng.uniform(0, 1000),
                               query_rng.uniform(0, 1000))
@@ -253,7 +244,7 @@ class TestNodesWithinFlatFallback:
 
     def _flat_medium(self):
         sim = Simulator()
-        cfg = MediumConfig(spatial_index=False, vectorized=False)
+        cfg = MediumConfig(spatial_index=False)
         return sim, WirelessMedium(sim, RadioConfig(range_override_m=100.0),
                                    config=cfg, rng=random.Random(0))
 
@@ -286,7 +277,6 @@ class TestNodesWithinFlatFallback:
                    for n in got)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized engine needs numpy")
 class TestBatchPrimitives:
     """Direct unit checks of the numpy engine's exactness guarantees."""
 
@@ -344,30 +334,25 @@ class TestBatchPrimitives:
 
 
 class TestTimerCoalescingCross:
-    """The timer wheel crossed with the engine ladder: six combos.
+    """The timer wheel crossed with both engines: four combos.
 
-    ``with_scalar_engine()`` / ``with_flat_medium()`` force
-    ``coalesced_timers=False``, so the ladder tests above never exercise
-    the wheel *on* the scalar rungs (or off the vectorized one).  This
-    suite builds all six (engine x wheel) combinations explicitly via
-    ``with_changes`` and requires the full receive trace — summaries,
-    per-event reports and the raw delivery-time map — to be identical:
-    timer coalescing must be a pure scheduling optimisation on every
-    rung, not just the default one.
+    ``with_flat_medium()`` forces ``coalesced_timers=False``, so the
+    ladder tests above never exercise the wheel on the flat engine (or
+    vec without it).  This suite builds all four (engine x wheel)
+    combinations explicitly via ``with_changes`` and requires the full
+    receive trace — summaries, per-event reports and the raw
+    delivery-time map — to be identical: timer coalescing must be a
+    pure scheduling optimisation on both engines, not just the default
+    one.
     """
 
     @staticmethod
     def _combos(cfg: ScenarioConfig) -> dict:
         from dataclasses import replace
-        grid = replace(cfg.medium, vectorized=False)
-        flat = replace(cfg.medium, vectorized=False, spatial_index=False)
+        flat = replace(cfg.medium, spatial_index=False)
         return {
             "vec+wheel": cfg.with_changes(coalesced_timers=True),
             "vec": cfg.with_changes(coalesced_timers=False),
-            "grid+wheel": cfg.with_changes(medium=grid,
-                                           coalesced_timers=True),
-            "grid": cfg.with_changes(medium=grid,
-                                     coalesced_timers=False),
             "flat+wheel": cfg.with_changes(medium=flat,
                                            coalesced_timers=True),
             "flat": cfg.with_changes(medium=flat,
@@ -393,12 +378,11 @@ class TestTimerCoalescingCross:
                 f"{family}: {name} delivery traces diverged"
 
     def test_explicit_combos_cover_the_forced_gap(self):
-        """The helper really reaches the combos the canned switches
-        exclude: a scalar rung with the wheel on, and vec without it."""
+        """The helper really reaches the combos the canned switch
+        excludes: the flat engine with the wheel on, and vec without
+        it."""
         combos = self._combos(_fig11())
-        assert not combos["grid+wheel"].medium.vectorized
-        assert combos["grid+wheel"].coalesced_timers
         assert not combos["flat+wheel"].medium.spatial_index
         assert combos["flat+wheel"].coalesced_timers
-        assert combos["vec"].medium.vectorized
+        assert combos["vec"].medium.spatial_index
         assert not combos["vec"].coalesced_timers
