@@ -34,14 +34,17 @@ class Battery:
 
     @property
     def infinite(self) -> bool:
+        """True for mains power (``capacity_j=None``): never drains."""
         return self.capacity_j is None
 
     @property
     def remaining_j(self) -> float:
+        """Joules left (``inf`` on mains power)."""
         return self._remaining
 
     @property
     def drained(self) -> bool:
+        """True once the reservoir is empty."""
         return self._remaining <= 0.0
 
     def discharge(self, joules: float) -> float:

@@ -184,19 +184,24 @@ class EnergyAccountant:
 
     @property
     def node_count(self) -> int:
+        """Number of metered nodes."""
         return len(self.models)
 
     def joules_of(self, node_id: int) -> float:
+        """Joules node ``node_id`` has burned in the measurement window."""
         return self.models[node_id].total_joules
 
     def total_joules(self) -> float:
+        """Joules burned by all metered nodes together."""
         return sum(m.total_joules for m in self.models.values())
 
     def joules_per_node(self) -> float:
+        """Mean joules per metered node (0 with no nodes)."""
         n = self.node_count
         return self.total_joules() / n if n else 0.0
 
     def joules_by_state(self) -> Dict[RadioState, float]:
+        """Joules burned by all nodes, split by radio state."""
         out = {state: 0.0 for state in RadioState}
         for model in self.models.values():
             for state, joules in model.joules_by_state.items():
@@ -204,13 +209,16 @@ class EnergyAccountant:
         return out
 
     def depleted_ids(self) -> List[int]:
+        """Ids of the nodes whose battery ran dry, in order of death."""
         return [node_id for _, node_id in self.deaths]
 
     def survivor_ids(self) -> List[int]:
+        """Sorted ids of the nodes whose battery never ran dry."""
         dead = set(self.depleted_ids())
         return sorted(i for i in self.models if i not in dead)
 
     def first_death_time(self) -> Optional[float]:
+        """Instant of the first battery death, or None if none died."""
         return self.deaths[0][0] if self.deaths else None
 
     def network_lifetime_s(self, horizon_s: float) -> float:

@@ -47,16 +47,19 @@ class DutyCycleConfig:
 
     @property
     def enabled(self) -> bool:
+        """True when the radio sleeps at all (``awake_fraction < 1``)."""
         return self.awake_fraction < 1.0
 
     @property
     def awake_s(self) -> float:
+        """Seconds awake at the start of every window."""
         return self.period_s * self.awake_fraction
 
     # -- presets ---------------------------------------------------------------
 
     @classmethod
     def always_on(cls) -> "DutyCycleConfig":
+        """The never-sleeping schedule (no cycler is installed)."""
         return cls(period_s=1.0, awake_fraction=1.0)
 
     @classmethod
@@ -70,6 +73,7 @@ class DutyCycleConfig:
     # -- schedule arithmetic ----------------------------------------------------
 
     def is_awake_at(self, time: float) -> bool:
+        """True if the schedule has the radio up at ``time``."""
         if not self.enabled:
             return True
         return (time % self.period_s) < self.awake_s
@@ -120,6 +124,7 @@ class DutyCycler:
         self._arm()
 
     def stop(self) -> None:
+        """Stop cycling: cancel the pending sleep/wake flip."""
         self._stopped = True
         if self._timer is not None:
             self._timer.cancel()

@@ -15,12 +15,18 @@ simulation clock:
 * **IDLE** otherwise (powered, carrier-sensing, hearing nothing).
 
 States are charged lazily: joules accrue only at state *transitions*
-(``power(state) × elapsed``), so the accounting adds O(1) work per frame
-edge instead of per simulated second.  When a finite
-:class:`~repro.energy.battery.Battery` is attached, the model additionally
-keeps one kernel timer armed at the exact instant the battery would run
-dry at the current draw — depletion is detected on time, deterministically,
-not at the next transition.
+(``power(state) × elapsed``), never per simulated second.  The end of a
+TX/RX window is not a kernel event: :meth:`EnergyModel.note_tx` and
+:meth:`~EnergyModel.note_rx` push it onto a small per-model min-heap of
+pending edges, and every sync first charges each pending edge up to the
+current instant, in time order.  The ``[since, edge)`` segments are
+therefore exactly the ones a timer per edge would have charged, at no
+kernel cost: on mains power the model arms no timer at all.  When a
+finite :class:`~repro.energy.battery.Battery` is attached, the model
+keeps exactly one kernel timer, armed at the earlier of its next pending
+edge and the instant the battery would run dry at the current draw —
+depletion is detected on time, deterministically, not at the next
+transition.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional
 
 from repro.energy.battery import Battery
 from repro.net.radio import RadioConfig, dbm_to_mw
@@ -36,11 +43,19 @@ from repro.sim.kernel import Simulator, Timer
 
 
 class RadioState(enum.Enum):
+    """The radio states an :class:`EnergyModel` charges."""
+
     TX = "tx"
     RX = "rx"
     IDLE = "idle"
     SLEEP = "sleep"
     OFF = "off"          # battery drained: draws nothing, forever
+
+
+#: The states in declaration order; the models index per-state joules and
+#: draws by position in this tuple.
+_STATES = tuple(RadioState)
+_TX, _RX, _IDLE, _SLEEP, _OFF = range(len(_STATES))
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,7 @@ class PowerProfile:
                 raise ValueError(f"{name} must be >= 0")
 
     def draw_w(self, state: RadioState) -> float:
+        """Power drawn in ``state``, in watts (0 when OFF)."""
         if state is RadioState.TX:
             return self.tx_w
         if state is RadioState.RX:
@@ -120,87 +136,114 @@ class EnergyModel:
         self.profile = profile
         self.battery = battery or Battery()
         self.on_depleted = on_depleted
-        self.joules_by_state: Dict[RadioState, float] = {
-            state: 0.0 for state in RadioState}
         self.transitions = 0
         self.depleted_at: Optional[float] = None
+        # Joules and draws per state, indexed like _STATES.
+        self._joules: List[float] = [0.0] * len(_STATES)
+        self._draws = tuple(profile.draw_w(state) for state in _STATES)
+        self._finite = not self.battery.infinite
         self._since = sim.now
         self._tx_until = -math.inf
         self._rx_until = -math.inf
+        self._edges: List[float] = []     # min-heap of pending window ends
         self._asleep = False
         self._off = False
-        self._depletion_timer: Optional[Timer] = None
+        self._timer: Optional[Timer] = None
         # Arm immediately: even a node that never transmits dies on time.
-        self._rearm_depletion(sim.now)
+        self._rearm(sim.now)
 
     # -- inspection -----------------------------------------------------------
 
     @property
+    def joules_by_state(self) -> Dict[RadioState, float]:
+        """Joules charged so far, per radio state (a fresh dict)."""
+        return dict(zip(_STATES, self._joules))
+
+    @property
     def total_joules(self) -> float:
-        return sum(self.joules_by_state.values())
+        """Joules charged so far, all states together."""
+        return sum(self._joules)
 
     @property
     def state(self) -> RadioState:
-        return self._effective_state(self.sim.now)
+        """The radio state in force at the current instant."""
+        return _STATES[self._state_at(self.sim.now)]
 
     @property
     def depleted(self) -> bool:
+        """True once the battery has run dry (and until :meth:`revive`)."""
         return self._off
 
-    def _effective_state(self, now: float) -> RadioState:
+    def _state_at(self, now: float) -> int:
         if self._off:
-            return RadioState.OFF
+            return _OFF
         if now < self._tx_until:
-            return RadioState.TX
+            return _TX
         if now < self._rx_until:
-            return RadioState.RX
+            return _RX
         if self._asleep:
-            return RadioState.SLEEP
-        return RadioState.IDLE
+            return _SLEEP
+        return _IDLE
 
     # -- charging -------------------------------------------------------------
 
-    def _sync(self) -> None:
-        """Charge the interval since the last transition at the state that
-        was in force *over* that interval, then re-arm depletion."""
-        now = self.sim.now
-        elapsed = now - self._since
-        if elapsed > 0.0:
-            # The state during [since, now) is whatever was effective at
-            # its start: window edges always trigger a _sync, so the state
-            # cannot have changed silently mid-interval.
-            state = self._effective_state(self._since)
-            joules = self.profile.draw_w(state) * elapsed
-            drawn = self.battery.discharge(joules)
-            self.joules_by_state[state] += drawn
-            self._since = now
-            if self.battery.drained and not self._off:
-                self._power_off(now)
+    def _charge_until(self, now: float) -> None:
+        """Charge every segment up to ``now``, splitting it at each pending
+        window edge, at the state in force over that segment."""
+        edges = self._edges
+        while edges and edges[0] <= now:
+            if self._charge_segment(heappop(edges)):
                 return
-        else:
-            self._since = now
-        self._rearm_depletion(now)
+        self._charge_segment(now)
+
+    def _charge_segment(self, end: float) -> bool:
+        """Charge ``[since, end)``; True if that drained the battery.
+
+        The state over the segment is whatever was effective at its
+        start: every window edge and every state change begins a new
+        segment, so the state cannot have changed mid-segment.
+        """
+        since = self._since
+        if end <= since:
+            return False
+        state = self._state_at(since)
+        joules = self._draws[state] * (end - since)
+        self._since = end
+        if not self._finite:
+            self._joules[state] += joules
+            return False
+        self._joules[state] += self.battery.discharge(joules)
+        if self.battery.drained and not self._off:
+            self._power_off(end)
+            return True
+        return False
+
+    def _sync(self) -> None:
+        """Charge up to the current instant, then re-arm the timer."""
+        now = self.sim.now
+        self._charge_until(now)
+        self._rearm(now)
 
     def _power_off(self, now: float) -> None:
         self._off = True
         self.depleted_at = now
         self.transitions += 1
-        if self._depletion_timer is not None:
-            self._depletion_timer.cancel()
-            self._depletion_timer = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         if self.on_depleted is not None:
             self.on_depleted(self.node_id)
 
-    def _rearm_depletion(self, now: float) -> None:
-        if self._off or self.battery.infinite:
+    def _rearm(self, now: float) -> None:
+        """Arm the one timer of a finite battery at the earlier of the
+        next pending edge and the instant it would run dry."""
+        if self._off or not self._finite:
             return
-        if self._depletion_timer is not None:
-            self._depletion_timer.cancel()
-            self._depletion_timer = None
-        draw = self.profile.draw_w(self._effective_state(now))
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        draw = self._draws[self._state_at(now)]
         horizon = self.battery.time_to_empty_s(draw)
-        if math.isinf(horizon):
-            return
         if now + horizon <= now:
             # Float residue: the remaining charge buys less than one
             # representable slice of time — consider it spent, or the
@@ -208,9 +251,13 @@ class EnergyModel:
             self.battery.discharge(self.battery.remaining_j)
             self._power_off(now)
             return
-        # Next TX/RX/sleep edge re-syncs anyway; this timer only matters
-        # when the node sits in one state long enough to die in it.
-        self._depletion_timer = self.sim.schedule(horizon, self._sync)
+        at = now + horizon
+        if self._edges and self._edges[0] < at:
+            # The draw changes at the edge, and with it the instant the
+            # battery runs dry: re-predict there.
+            at = self._edges[0]
+        if not math.isinf(at):
+            self._timer = self.sim.call_at(at, self._sync)
 
     # -- transition notifications (medium / duty cycler) -----------------------
 
@@ -218,45 +265,51 @@ class EnergyModel:
         """The node's own frame occupies the air for ``duration_s``."""
         if self._off:
             return
-        self._sync()
-        end = self.sim.now + duration_s
+        now = self.sim.now
+        self._charge_until(now)
+        end = now + duration_s
         if end > self._tx_until:
             self._tx_until = end
             self.transitions += 1
-            self.sim.schedule(duration_s, self._sync)
-            self._rearm_depletion(self.sim.now)
+            heappush(self._edges, end)
+        self._rearm(now)
 
     def note_rx(self, duration_s: float) -> None:
         """An audible frame overlaps the node for ``duration_s``."""
         if self._off or self._asleep:
             return
-        self._sync()
-        end = self.sim.now + duration_s
+        now = self.sim.now
+        self._charge_until(now)
+        end = now + duration_s
         if end > self._rx_until:
             self._rx_until = end
             self.transitions += 1
-            self.sim.schedule(duration_s, self._sync)
-            self._rearm_depletion(self.sim.now)
+            heappush(self._edges, end)
+        self._rearm(now)
 
     def sleep(self) -> None:
+        """The duty cycler switched the radio to SLEEP (until ``wake``)."""
         if self._off or self._asleep:
             return
-        self._sync()
+        now = self.sim.now
+        self._charge_until(now)
         if self._off:
             return
         self._asleep = True
         self.transitions += 1
-        self._rearm_depletion(self.sim.now)
+        self._rearm(now)
 
     def wake(self) -> None:
+        """The duty cycler switched the radio back on."""
         if self._off or not self._asleep:
             return
-        self._sync()
+        now = self.sim.now
+        self._charge_until(now)
         if self._off:
             return
         self._asleep = False
         self.transitions += 1
-        self._rearm_depletion(self.sim.now)
+        self._rearm(now)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -265,11 +318,10 @@ class EnergyModel:
         called at measurement-window start so warm-up traffic is free,
         mirroring :meth:`MetricsCollector.resume`."""
         self._sync()
-        for state in self.joules_by_state:
-            self.joules_by_state[state] = 0.0
+        self._joules = [0.0] * len(_STATES)
         if recharge and not self._off:
             self.battery.recharge()
-            self._rearm_depletion(self.sim.now)
+            self._rearm(self.sim.now)
 
     def revive(self) -> None:
         """A fresh battery was installed in a drained radio: leave OFF,
@@ -281,10 +333,11 @@ class EnergyModel:
         self._since = self.sim.now
         self._tx_until = -math.inf
         self._rx_until = -math.inf
+        self._edges.clear()
         self._asleep = False
         self.transitions += 1
         self.battery.recharge()
-        self._rearm_depletion(self.sim.now)
+        self._rearm(self.sim.now)
 
     def finalize(self) -> None:
         """Charge up to the current instant (end of run)."""

@@ -11,6 +11,15 @@ Two events scheduled for the same instant fire in the order they were
 scheduled (FIFO tie-breaking via a monotonically increasing sequence
 number).  Given identical seeds and identical call sequences, a simulation
 is bit-for-bit reproducible, which the test suite relies on.
+
+Heap layout
+-----------
+Queue entries are ``(time, seq, timer)`` tuples, so ``heapq`` orders them
+in C by ``(time, seq)`` without calling back into Python.  Timers are
+compared only when two entries share a key, which happens only when
+:class:`TimerWheel` re-arms its service timer at the exact key of a
+cancelled service entry still in the heap; :meth:`Timer.__lt__` settles
+that tie (the cancelled entry never fires, so either order is correct).
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ class Timer:
         return not (self.cancelled or self.fired)
 
     def __lt__(self, other: "Timer") -> bool:
+        # Reached only on a (time, seq) tie between heap entries.
         return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -79,7 +89,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[Timer] = []
+        self._queue: list[tuple] = []      # (time, seq, timer)
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -108,8 +118,9 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self._now}")
-        timer = Timer(time, next(self._seq), callback, args)
-        heapq.heappush(self._queue, timer)
+        seq = next(self._seq)
+        timer = Timer(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, timer))
         return timer
 
     def _lease_seq(self) -> int:
@@ -134,7 +145,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self._now}")
         timer = Timer(time, seq, callback, ())
-        heapq.heappush(self._queue, timer)
+        heapq.heappush(self._queue, (time, seq, timer))
         return timer
 
     def _peek_key(self) -> Optional[tuple]:
@@ -145,11 +156,11 @@ class Simulator:
         entries the moment an interleaved kernel event is due first.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
         if not queue:
             return None
-        return (queue[0].time, queue[0].seq)
+        return queue[0][:2]
 
     def stop(self) -> None:
         """Stop a running simulation after the current event completes."""
@@ -179,19 +190,20 @@ class Simulator:
         self._running = True
         self._stopped = False
         budget = max_events if max_events is not None else float("inf")
+        queue = self._queue
         try:
-            while self._queue and not self._stopped:
-                head = self._queue[0]
+            while queue and not self._stopped:
+                time, _, head = queue[0]
                 if head.cancelled:
                     # Cancelled timers — including one sitting at exactly
                     # t == until — are purged without firing and never
                     # count against the max_events budget.
-                    heapq.heappop(self._queue)
+                    heapq.heappop(queue)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._queue)
-                self._now = head.time
+                heapq.heappop(queue)
+                self._now = time
                 head.fired = True
                 head.callback(*head.args)
                 self.events_processed += 1

@@ -1,14 +1,14 @@
 """Docstring coverage enforcement for the public API surface.
 
 Mirrors the CI ``ruff check`` (pydocstyle rules D101/D102/D103) for the
-``repro.sim``, ``repro.net``, ``repro.harness`` and ``repro.faults``
-packages plus the protocol-stack surface (``repro.core.stack``,
-``repro.core.registry``, the ``repro.baselines.gossip`` and
-``repro.baselines.reference`` modules), so the docs contract is enforced
-even where ruff is not installed: every public class, function, method
-and property in those trees must carry a docstring.  Private names
-(leading underscore) and dunders are exempt, matching the pydocstyle
-visibility rules.
+``repro.sim``, ``repro.net``, ``repro.harness``, ``repro.faults`` and
+``repro.energy`` packages plus the protocol-stack surface
+(``repro.core.stack``, ``repro.core.registry``, the
+``repro.baselines.gossip`` and ``repro.baselines.reference`` modules),
+so the docs contract is enforced even where ruff is not installed: every
+public class, function, method and property in those trees must carry a
+docstring.  Private names (leading underscore) and dunders are exempt,
+matching the pydocstyle visibility rules.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Iterator, List, Tuple
 import pytest
 
 DOCUMENTED_PACKAGES = ("repro.sim", "repro.sim.shard", "repro.net",
-                       "repro.harness", "repro.faults", "repro.core.stack",
+                       "repro.harness", "repro.faults", "repro.energy",
+                       "repro.core.stack",
                        "repro.core.registry", "repro.baselines.gossip",
                        "repro.baselines.reference", "repro.rt",
                        "repro.study")

@@ -191,6 +191,87 @@ class TestEnergyModel:
         assert model.battery.remaining_j == 100.0
 
 
+def live_timers(sim):
+    """The kernel timers still due to fire (cancelled entries excluded)."""
+    return [timer for _, _, timer in sim._queue if timer.active]
+
+
+class TestLazyWindowEdges:
+    """Window ends are charged lazily from a per-model heap: no kernel
+    timer on mains power, one per model on a finite battery, and the
+    same ``[since, edge)`` segments a timer per edge would charge."""
+
+    def test_mains_model_arms_no_timer(self):
+        sim, model = make_model()
+        assert sim.pending == 0
+        for _ in range(20):
+            model.note_tx(0.01)
+            model.note_rx(0.02)
+        assert sim.pending == 0
+
+    def test_overlapping_rx_windows_split_at_both_edges(self):
+        sim, model = make_model()
+        model.note_rx(1.0)                       # RX [0, 1)
+        sim.call_at(0.5, model.note_rx, 1.5)     # RX [0.5, 2)
+        sim.run(until=3.0)
+        model.finalize()
+        rx, idle = model.profile.rx_w, model.profile.idle_w
+        assert model.joules_by_state[RadioState.RX] == \
+            0.0 + rx * 0.5 + rx * (1.0 - 0.5) + rx * (2.0 - 1.0)
+        assert model.joules_by_state[RadioState.IDLE] == idle * (3.0 - 2.0)
+
+    def test_rx_window_inside_tx_window(self):
+        sim, model = make_model()
+        model.note_tx(2.0)                       # TX [0, 2)
+        sim.call_at(0.5, model.note_rx, 1.0)     # RX [0.5, 1.5), under TX
+        sim.run(until=3.0)
+        model.finalize()
+        tx, idle = model.profile.tx_w, model.profile.idle_w
+        assert model.joules_by_state[RadioState.TX] == \
+            0.0 + tx * 0.5 + tx * (1.5 - 0.5) + tx * (2.0 - 1.5)
+        assert model.joules_by_state[RadioState.RX] == 0.0
+        assert model.joules_by_state[RadioState.IDLE] == idle * (3.0 - 2.0)
+
+    def test_finite_battery_dies_at_the_piecewise_instant(self):
+        deaths = []
+        profile = PowerProfile(tx_w=2.0, rx_w=1.0, idle_w=0.5, sleep_w=0.0)
+        sim, model = make_model(profile=profile, capacity_j=5.0,
+                                on_depleted=deaths.append)
+        model_timers = []
+
+        def probe():
+            model_timers.append([timer.time for timer in live_timers(sim)
+                                 if timer.callback == model._sync])
+
+        model.note_tx(1.0)                       # TX [0, 1): 2 J
+        model.note_rx(1.5)                       # RX [1, 1.5): 0.5 J
+        probe()
+        for t in (0.25, 1.25, 3.0, 6.0):
+            sim.call_at(t, probe)
+        sim.run(until=100.0)
+        # 2.5 J left at 0.5 W idle from t=1.5: dead at exactly t=6.5.
+        assert deaths == [0]
+        assert model.depleted_at == 1.5 + 2.5 / 0.5
+        # One timer per model, aimed at the next edge, then at the death.
+        assert model_timers == [[1.0], [1.0], [1.5], [6.5], [6.5]]
+        assert live_timers(sim) == []
+
+    def test_revive_clears_pending_edges(self):
+        profile = PowerProfile(tx_w=2.0, rx_w=1.0, idle_w=0.5, sleep_w=0.0)
+        sim, model = make_model(profile=profile, capacity_j=1.0)
+        sim.call_at(0.5, model.note_rx, 2.5)     # RX [0.5, 3)
+        sim.run(until=2.0)                       # 0.25 J idle + 0.75 J RX
+        assert model.depleted_at == 1.25
+        model.revive()
+        # Idle from t=2: the one timer aims at the death at 2 + 1 J /
+        # 0.5 W, not at the dead window's edge t=3.
+        assert [timer.time for timer in live_timers(sim)] == [4.0]
+        sim.run(until=20.0)
+        assert model.depleted_at == 4.0
+        assert model.joules_by_state[RadioState.RX] == 0.75
+        assert model.joules_by_state[RadioState.IDLE] == 0.25 + 1.0
+
+
 # --------------------------------------------------------------------------
 # Duty cycle
 # --------------------------------------------------------------------------

@@ -31,6 +31,25 @@ class TestScheduling:
         sim.run(until=2.0)
         assert out == list(range(10))
 
+    def test_fifo_tie_break_survives_interleaved_cancellations(self, sim):
+        """1,000 same-instant timers, every third cancelled before the run
+        and every even one from #600 on cancelled from inside it, fire in
+        arm order."""
+        out = []
+
+        def fire(i):
+            out.append(i)
+            if i == 1:
+                for timer in timers[600::2]:
+                    timer.cancel()
+
+        timers = [sim.schedule(1.0, fire, i) for i in range(1000)]
+        for timer in timers[::3]:
+            timer.cancel()
+        sim.run(until=2.0)
+        assert out == [i for i in range(1000)
+                       if i % 3 and not (i >= 600 and i % 2 == 0)]
+
     def test_call_at_absolute_time(self, sim):
         out = []
         sim.call_at(7.0, out.append, "later")
@@ -396,6 +415,23 @@ class TestTimerWheel:
         assert out == [] and wheel.pending == 1
         sim.run(until=5.0)
         assert out == ["tail"]
+
+    def test_service_rearmed_at_a_cancelled_service_key(self, sim):
+        """Arm B at t=2, then A at t=1 (the service timer moves to A's
+        key, leaving a cancelled service entry at B's key), cancel A and
+        run: at t=1 the wheel re-arms its service at B's exact key while
+        that cancelled entry is still on the kernel heap.  The tie must
+        not break the heap, and B fires once, at t=2."""
+        wheel = TimerWheel(sim)
+        fired = []
+        wheel.schedule(2.0, lambda: fired.append(("B", sim.now)))
+        early = wheel.schedule(1.0, lambda: fired.append(("A", sim.now)))
+        early.cancel()
+        pending_after_service = []
+        sim.call_at(1.0, lambda: pending_after_service.append(sim.pending))
+        sim.run(until=10.0)
+        assert pending_after_service == [2]   # the two same-key entries
+        assert fired == [("B", 2.0)]
 
     def test_entry_scheduled_from_callback(self, sim):
         """A wheel callback arming another entry (periodic re-arm) must
